@@ -15,8 +15,10 @@ of the same inputs.  See ``README.md`` in this directory.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -24,6 +26,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("campaign_cold", "campaign_warm", "reduce_bisect")
+PR_SET_PDEATHSIG = 1  # linux/prctl.h
 
 
 def main() -> int:
@@ -52,7 +55,22 @@ def main() -> int:
         sys.executable, os.path.join(HERE, "workloads.py"), args.workload,
         str(args.seed), repr(args.seconds), str(args.trace), repr(started),
     ]
-    return subprocess.run(command, cwd=ROOT, env=env).returncode
+    return subprocess.run(
+        command, cwd=ROOT, env=env, preexec_fn=_ends_with(os.getpid()),
+    ).returncode
+
+
+def _ends_with(parent: int):
+    """A ``preexec_fn`` that kills the workload process when this one
+    ends, so a run stopped from outside leaves nothing running."""
+    libc = ctypes.CDLL(None, use_errno=True)
+
+    def arm() -> None:
+        libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # ended before the signal was armed
+            os._exit(1)
+
+    return arm
 
 
 if __name__ == "__main__":
