@@ -14,10 +14,12 @@ the operation ends.  CPU seconds, because a seed measured beside
 another one on a two-CPU host waits for memory and cache, and its wall
 time says more about its neighbour than about itself.  Then the
 workload's output checks run on the seed (``campaign_cold`` seeds on
-every compiler spec).  Seeds whose checks fail stay out of the drawn
-pool and are printed, and so do seeds whose operation takes longer
-than :data:`MAX_SECONDS`, which would set a run's length alone.  The
-fixed seeds a workload always runs are measured the same way and kept.
+every compiler spec), and every failure is printed.  Only cost keeps a
+seed out of the drawn pool: an operation longer than
+:data:`MAX_SECONDS` would set a run's length alone.  A seed whose
+checks fail belongs among the fixed seeds, which every run counts, so
+the share of failed operations stays the same from run to run and a
+fix moves it; while a drawn seed fails, no ``pools.json`` is written.
 Rerun it when a change to the program moves the relative cost of seeds
 enough that runs of different workload seeds stop carrying the same
 work.
@@ -50,10 +52,11 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 from workloads import SMALL_CONFIG, WARM_CONFIG, Job  # noqa: E402
 
-#: candidate seeds, fixed seeds and draw size per workload
+#: candidate seeds (the fixed ones among them), fixed seeds and draw
+#: size per workload
 PLAN = {
-    "campaign_cold": (range(0, 100), (11, 49), 4),
-    "campaign_warm": (range(400, 520), (), 12),
+    "campaign_cold": (range(0, 100), (11, 22, 49), 2),
+    "campaign_warm": (range(400, 520), (), 16),
     "reduce_bisect": (range(0, 300), (2, 7), 2),
 }
 #: per workload: generator configuration, cost names, and how a draw
@@ -135,7 +138,7 @@ def _campaign_cold(seed: int, work: str, limit: float):
     journal.close()
     report = journal.get(seed)
     if report is None or report.outcome is None:
-        return None, ["no analysis"]
+        return costs, ["the journal holds no analysis of the seed"]
     out = checks.seed_outputs(report.outcome, result)
     ref = checks.seed_reference(report.outcome, default_specs())
     return costs, checks.seed_failures(out, ref)
@@ -207,7 +210,7 @@ def _reduce_and_bisect(finding, program, pairing, memo):
 
 
 def _scratch() -> str:
-    path = os.path.join(os.getcwd(), ".perfbench", "calibrate")
+    path = os.path.join(workloads.SCRATCH, "calibrate")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -228,15 +231,25 @@ def main(names: list[str]) -> int:
             "draw": PLAN[name][2], "fixed": {}, "seeds": {},
         }
     tasks = [(name, seed) for name in names for seed in PLAN[name][0]]
+    failing = []
     context = get_context("spawn")
     with ProcessPoolExecutor(2, mp_context=context, max_tasks_per_child=1) as pool:
         for name, seed, costs, failures in pool.map(measure, tasks):
             fixed = seed in PLAN[name][1]
-            if failures:
-                print(f"{name} seed {seed}: {'; '.join(failures)}", file=sys.stderr)
-            if costs is not None and (fixed or not failures):
+            for failure in failures:
+                print(f"{name} seed {seed}: {failure}", file=sys.stderr)
+            if failures and not fixed and costs is not None:
+                failing.append(f"{name} seed {seed}")
+            if costs is not None:
                 pools[name]["fixed" if fixed else "seeds"][str(seed)] = costs
     shutil.rmtree(_scratch(), ignore_errors=True)
+    if failing:
+        print(
+            f"pools.json not written: {', '.join(failing)} fail their checks;"
+            " make each a fixed seed in PLAN so every run counts it",
+            file=sys.stderr,
+        )
+        return 1
     with open(path, "w") as handle:
         handle.write(_dump({name: pools[name] for name in PLAN}))
     return 0

@@ -2,35 +2,33 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload campaign_cold --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload campaign_cold --seed 1 --seconds 10 --trace 0
 
-Each run starts one workload process (``workloads.py``) against the
-checkout's own ``src/``, at ``jobs=1``, and relays its result: the last
-line of standard output is one JSON object with ``correct``,
-``attempted``, ``failed`` and ``metrics``.  ``--trace 0`` reports the
-end-to-end metrics, ``--trace 1`` the per-layer ones from a traced run
-of the same inputs.  See ``README.md`` in this directory.
+Each run is one process running one workload (``workloads.py``)
+against the checkout's own ``src/``, at ``jobs=1``.  The last line of
+standard output is one JSON object with ``correct``, ``attempted``,
+``failed`` and ``metrics``.  ``--trace 0`` reports the end-to-end
+metrics, ``--trace 1`` the per-layer ones from a traced run of the
+same inputs.  See ``README.md`` in this directory.
 """
 
-from __future__ import annotations
-
-import argparse
-import ctypes
-import os
-import shutil
-import signal
-import subprocess
-import sys
 import time
 
+# setup_s counts from here: imports and the workload's set-up
+STARTED = time.time()
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import os  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+
 HERE = os.path.dirname(os.path.abspath(__file__))
-ROOT = os.path.dirname(HERE)
+SOURCE = os.path.join(os.path.dirname(HERE), "src")
 WORKLOADS = ("campaign_cold", "campaign_warm", "reduce_bisect")
-PR_SET_PDEATHSIG = 1  # linux/prctl.h
 
 
 def main() -> int:
-    started = time.time()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", required=True, type=int)
@@ -40,37 +38,22 @@ def main() -> int:
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
 
-    source = os.path.join(ROOT, "src")
-    if not os.path.isfile(os.path.join(source, "repro", "__init__.py")):
-        print(f"perfbench: no program source under {source}", file=sys.stderr)
+    if not os.path.isfile(os.path.join(SOURCE, "repro", "__init__.py")):
+        print(f"perfbench: no program source under {SOURCE}", file=sys.stderr)
         return 2
     if args.workload == "campaign_cold" and shutil.which("gcc") is None:
         print("perfbench: campaign_cold checks need gcc on PATH", file=sys.stderr)
         return 2
 
-    env = dict(os.environ)
     # the checkout's own code, never an installed copy
-    env["PYTHONPATH"] = source
-    command = [
-        sys.executable, os.path.join(HERE, "workloads.py"), args.workload,
-        str(args.seed), repr(args.seconds), str(args.trace), repr(started),
-    ]
-    return subprocess.run(
-        command, cwd=ROOT, env=env, preexec_fn=_ends_with(os.getpid()),
-    ).returncode
+    sys.path[:0] = [SOURCE, HERE]
+    import workloads
 
-
-def _ends_with(parent: int):
-    """A ``preexec_fn`` that kills the workload process when this one
-    ends, so a run stopped from outside leaves nothing running."""
-    libc = ctypes.CDLL(None, use_errno=True)
-
-    def arm() -> None:
-        libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:  # ended before the signal was armed
-            os._exit(1)
-
-    return arm
+    result = workloads.run(
+        args.workload, args.seed, args.seconds, args.trace == 1, STARTED
+    )
+    print(json.dumps(result))
+    return 0
 
 
 if __name__ == "__main__":

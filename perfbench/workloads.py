@@ -1,13 +1,8 @@
-"""The benchmark's workload process: set-up, timed phase, output checks.
+"""The benchmark's workloads: set-up, timed phase, output checks.
 
-Run by ``run.py``, one process per workload run::
-
-    python3 perfbench/workloads.py WORKLOAD SEED SECONDS TRACE STARTED
-
-``STARTED`` is the wall-clock time at which ``run.py`` started this
-process, so ``setup_s`` counts interpreter start, imports and the
-workload's own set-up.  The last line of standard output is the
-result object ``run.py`` relays.
+``run.py`` calls :func:`run` once per process.  ``started`` is the
+wall-clock time at which ``run.py`` started, so ``setup_s`` counts
+imports and the workload's own set-up.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import time
 from dataclasses import astuple
 from statistics import fmean, median, quantiles
 
-from repro.compilers import IncrementalEngine
+from repro.compilers import CompilerSpec, IncrementalEngine
 from repro.core import bisect
 from repro.core.corpus import default_specs, run_campaign
 from repro.core.markers import instrument_program
@@ -52,6 +47,8 @@ import checks
 import layers
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+#: a run writes only here, inside the checkout
+SCRATCH = os.path.join(os.path.dirname(HERE), ".perfbench")
 
 #: the service tests' small configuration (tests/service)
 SMALL_CONFIG = GeneratorConfig(
@@ -66,6 +63,10 @@ WARM_CONFIG = GeneratorConfig(
 
 #: a drawn set's combined costs stay within this share of their targets
 BALANCE = 0.03
+#: specs recompiled on a fixed seed besides its drawn one: llvmlike-O3's
+#: IR of default-config seed 22 fails verify_module (unswitch), so that
+#: seed counts as a failed operation in every run until the fault is fixed
+RECOMPILED = {22: (("llvmlike", "O3"),)}
 
 
 # -- inputs ------------------------------------------------------------------
@@ -229,8 +230,13 @@ class CampaignCold(Workload):
                 per_seed[seed] = ["the journal holds no analysis of the seed"]
                 continue
             outcome = report.outcome
+            sampled = {rng.choice(specs)}
+            sampled.update(
+                CompilerSpec(family, level)
+                for family, level in RECOMPILED.get(seed, ())
+            )
             out = checks.seed_outputs(outcome, first[seed])
-            ref = checks.seed_reference(outcome, [rng.choice(specs)])
+            ref = checks.seed_reference(outcome, sorted(sampled, key=str))
             self.outputs[seed] = (out, ref)
             per_seed[seed] = checks.seed_failures(out, ref)
         failed = []
@@ -497,7 +503,7 @@ def store_sizes(path: str) -> dict[str, float]:
 
 
 def run(name: str, seed: int, seconds: float, trace: bool, started: float) -> dict:
-    work = os.path.join(os.getcwd(), ".perfbench", name)
+    work = os.path.join(SCRATCH, name)
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(os.path.join(work, "tmp"))
     # executable_check and gcc write their temporaries inside the checkout
@@ -584,13 +590,3 @@ def _unit(name: str) -> str:
         return "ratio"
     return "count"
 
-
-def main(argv: list[str]) -> int:
-    name, seed, seconds, trace, started = argv
-    result = run(name, int(seed), float(seconds), trace == "1", float(started))
-    print(json.dumps(result))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

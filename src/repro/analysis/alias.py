@@ -19,7 +19,7 @@ from enum import Enum
 
 from ..ir import instructions as ins
 from ..ir.function import IRFunction, Module
-from ..ir.values import Constant, GlobalRef, Value
+from ..ir.values import GlobalRef, Value
 
 
 class AliasResult(Enum):
@@ -43,13 +43,13 @@ class Root:
 
 
 UNKNOWN_ROOT = Root("unknown", None, 0, None)
-# the values trace_root can resolve to a known root
-_ADDRESS_TYPES = (GlobalRef, ins.Alloca, ins.Gep)
 
 
 def trace_root(value: Value) -> Root:
     """Resolve a pointer value to its root object, if statically known."""
     offset: int | None = 0
+    from ..ir.values import Constant
+
     while True:
         if isinstance(value, GlobalRef):
             return Root("global", value.name, 0, offset)
@@ -108,8 +108,7 @@ class MemorySSAish:
         for block in func.blocks:
             for instr in block.instrs:
                 for op_index, op in enumerate(instr.operands()):
-                    if isinstance(op, _ADDRESS_TYPES):
-                        self._scan_use(instr, op_index, op)
+                    self._scan_use(instr, op_index, op)
 
     def _scan_use(self, instr: ins.Instr, op_index: int, op: Value) -> None:
         root = trace_root(op)

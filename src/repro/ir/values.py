@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..lang.types import ArrayType, IntType, PointerType, Type, VoidType
+from ..lang.types import IntType, PointerType, Type
 
 
 class Value:
@@ -77,6 +77,8 @@ class Param(Value):
 
 
 def _short(ty: Type) -> str:
+    from ..lang.types import ArrayType, IntType, PointerType, VoidType
+
     if isinstance(ty, IntType):
         return f"{'i' if ty.signed else 'u'}{ty.width}"
     if isinstance(ty, PointerType):

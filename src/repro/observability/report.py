@@ -12,12 +12,10 @@ configurable thresholds:
 * **compilation-cost increase** — ``campaign.compilations`` per
   program rose (cache or sharing regression);
 * **yield drop** — findings per completed program fell (generator or
-  oracle regression).
-
-Interpreter throughput (``interp.steps`` per wall-clock second) is
-shown but never flagged: it is one timing sample per run, so a busy
-host moves it by more than any threshold that would catch a real
-slowdown.
+  oracle regression);
+* **interpreter throughput drop** — ``interp.steps`` per wall-clock
+  second fell (ground-truth engine slowdown, e.g. a bytecode-VM
+  regression or an accidental ``--no-bytecode`` run).
 
 All comparisons normalize per completed program so runs of different
 sizes compare meaningfully.  The HTML report embeds its styling inline
@@ -59,6 +57,7 @@ class CompareThresholds:
     pass_execs_saved_drop: float = 0.10
     compilations_increase: float = 0.10
     yield_drop: float = 0.10
+    steps_per_sec_drop: float = 0.10
 
 
 @dataclass
@@ -158,13 +157,14 @@ def compare_runs(
         bad_drop=limits.yield_drop,
         note="campaign yield",
     )
-    # informational rows (never flagged)
     add(
         "interp_steps_per_sec",
         steps_per_sec(baseline),
         steps_per_sec(candidate),
+        bad_drop=limits.steps_per_sec_drop,
         note="ground-truth interpreter throughput",
     )
+    # informational rows (never flagged)
     add("dead_markers_pct", baseline.dead_pct, candidate.dead_pct)
     add("crashes", baseline.crashed, candidate.crashed)
     add("wall_time_s", baseline.wall_time, candidate.wall_time)

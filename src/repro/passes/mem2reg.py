@@ -18,11 +18,11 @@ from ..lang.types import PointerType
 
 def promote_memory_to_registers(func: IRFunction, module: Module | None = None) -> bool:
     """Run mem2reg on ``func``; returns True when anything changed."""
-    if not _find_promotable(func, _alloca_users(func)):
+    promotable = _find_promotable(func)
+    if not promotable:
         return False
     func.drop_unreachable_blocks()
-    users = _alloca_users(func)
-    promotable = _find_promotable(func, users)
+    promotable = _find_promotable(func)
     if not promotable:
         return False
 
@@ -37,7 +37,7 @@ def promote_memory_to_registers(func: IRFunction, module: Module | None = None) 
     for alloca in promotable:
         def_blocks = {
             id(i.block): i.block
-            for i in users[id(alloca)]
+            for i in _users(func, alloca)
             if isinstance(i, ins.Store) and i.block is not None
         }
         work = [b for bid, b in def_blocks.items() if bid in reachable_ids]
@@ -115,32 +115,24 @@ def _initial_value(alloca: ins.Alloca) -> Value:
     return const_int(0, alloca.element)
 
 
-def _alloca_users(func: IRFunction) -> dict[int, list[ins.Instr]]:
-    """Map each entry-block alloca's id to the instructions that use it,
-    each once, in block order (one walk of the function, not one per
-    alloca)."""
-    users: dict[int, list[ins.Instr]] = {
-        id(i): [] for i in func.entry.instrs if isinstance(i, ins.Alloca)
-    }
+def _users(func: IRFunction, value: Value):
     for block in func.blocks:
         for instr in block.instrs:
-            for op in instr.operands():
-                found = users.get(id(op))
-                if found is not None and (not found or found[-1] is not instr):
-                    found.append(instr)
-    return users
+            if isinstance(instr, ins.Phi):
+                if any(v is value for _, v in instr.incomings):
+                    yield instr
+            elif any(op is value for op in instr.operands()):
+                yield instr
 
 
-def _find_promotable(
-    func: IRFunction, users: dict[int, list[ins.Instr]]
-) -> list[ins.Alloca]:
+def _find_promotable(func: IRFunction) -> list[ins.Alloca]:
     allocas = [i for i in func.entry.instrs if isinstance(i, ins.Alloca)]
     out = []
     for alloca in allocas:
         if alloca.length != 1:
             continue
         ok = True
-        for user in users[id(alloca)]:
+        for user in _users(func, alloca):
             if isinstance(user, (ins.Load, ins.LoadPtr)) and user.address is alloca:
                 continue
             if isinstance(user, ins.Store) and user.address is alloca and user.value is not alloca:
